@@ -60,8 +60,8 @@ func main() {
 		metricsOut = flag.String("metrics-out", "", "write Prometheus text-format metrics to this file on exit")
 		timeout    = flag.Duration("timeout", 0, "overall run budget; on expiry print the best-so-far result and exit 3")
 		maxBadRows = flag.Int("max-bad-rows", 0, "input rows to quarantine per pass before failing; -1 unlimited, 0 strict")
-		retries    = flag.Int("retries", 2, "retries per read for transient input errors")
-		ingestW    = flag.Int("ingest-workers", 0, "workers for the parallel counting pass (0/1 sequential; needs an in-memory source, so not with -stream)")
+		retries    = flag.Int("retries", 2, "retries per read for transient input errors (with -stream)")
+		ingestW    = flag.Int("ingest-workers", 0, "workers for the parallel counting pass only (0/1 sequential; needs an in-memory source, so not with -stream); loading the CSV always uses GOMAXPROCS byte ranges")
 		memBudget  = flag.String("mem-budget", "", "memory budget for the count substrate: bytes with optional K/M/G/T suffix, or 'off' for unlimited (empty keeps the 1 GiB default; grids over budget use the sparse or spill backend)")
 		backend    = flag.String("counts-backend", "auto", "count backend: auto, dense, sparse, spill")
 		spillDir   = flag.String("spill-dir", "", "directory for spill-backend files (default: OS temp dir)")
@@ -162,31 +162,22 @@ func main() {
 		fatal(err)
 	}
 
-	// Input always goes through the CSV stream wrapped in the resilient
-	// layer — transient errors are retried with backoff and bad rows
-	// (parse failures, non-finite values) are quarantined with row
-	// numbers within the -max-bad-rows budget. Without -stream the
-	// cleaned rows are then materialized into memory, so the quarantine
-	// policy applies identically in both modes.
-	schema, err := dataset.InferCSVSchema(*in, 10_000)
-	if err != nil {
-		fatal(err)
-	}
-	cs, err := dataset.OpenCSVStream(*in, schema)
-	if err != nil {
-		fatal(err)
-	}
-	resilient := dataset.NewResilient(cs,
-		dataset.Retry{Max: *retries, Seed: *seed},
-		dataset.Quarantine{MaxBadRows: *maxBadRows,
-			OnBad: func(reason string, row int, err error) {
-				slog.Debug("quarantined row", "reason", reason, "row", row, "err", err)
-			}})
-	if observer != nil {
-		resilient.Observe(observer.Registry())
-	}
+	// Bad rows (parse failures, wrong field counts, non-finite values)
+	// are quarantined with row numbers within the -max-bad-rows budget.
+	// Without -stream, dataset.LoadCSV decodes the file into memory over
+	// GOMAXPROCS byte ranges; its rows, codes, quarantine account and
+	// errors equal a sequential pass of the stream below, so the policy
+	// applies identically in both modes.
+	quarantine := dataset.Quarantine{MaxBadRows: *maxBadRows,
+		OnBad: func(reason string, row int, err error) {
+			slog.Debug("quarantined row", "reason", reason, "row", row, "err", err)
+		}}
+	var stats func() dataset.ResilientStats
 	atExit(func() {
-		if st := resilient.Stats(); st.Total() > 0 || st.Retries > 0 {
+		if stats == nil {
+			return
+		}
+		if st := stats(); st.Total() > 0 || st.Retries > 0 {
 			slog.Warn("input degradation",
 				"rows_quarantined", st.Total(), "by_reason", st.Quarantined,
 				"retries", st.Retries)
@@ -195,17 +186,38 @@ func main() {
 
 	var src dataset.Source
 	if *stream {
+		schema, err := dataset.InferCSVSchema(*in, 10_000)
+		if err != nil {
+			fatal(err)
+		}
+		cs, err := dataset.OpenCSVStream(*in, schema)
+		if err != nil {
+			fatal(err)
+		}
 		defer cs.Close()
+		resilient := dataset.NewResilient(cs, dataset.Retry{Max: *retries, Seed: *seed}, quarantine)
+		if observer != nil {
+			resilient.Observe(observer.Registry())
+		}
+		stats = resilient.Stats
 		src = resilient
 		if *ingestW > 1 {
 			slog.Warn("-ingest-workers needs an in-memory source; streaming ingest stays sequential")
 		}
 	} else {
-		tb, err := dataset.Materialize(resilient)
-		if cerr := cs.Close(); err == nil && cerr != nil {
-			err = cerr
+		span := observer.Root("load", obs.Str("path", *in))
+		var tb *dataset.Table
+		var rep dataset.LoadReport
+		schema, err := dataset.InferCSVSchema(*in, 10_000)
+		if err == nil {
+			tb, rep, err = dataset.LoadCSV(ctx, *in, schema, quarantine, observer.Registry())
 		}
+		stats = func() dataset.ResilientStats { return rep.Stats }
+		span.End(rep.SpanAttrs()...)
 		if err != nil {
+			if wasCanceled(err) {
+				fatalCode(err, exitCanceled)
+			}
 			fatal(err)
 		}
 		src = tb

@@ -81,9 +81,8 @@ func ReadCSV(r io.Reader, schema *Schema) (*Table, error) {
 }
 
 func inferSchema(header []string, records [][]string) *Schema {
-	s := &Schema{byName: make(map[string]int, len(header))}
-	for col, name := range header {
-		kind := Quantitative
+	categorical := make([]bool, len(header))
+	for col := range header {
 		seen := false
 		for _, rec := range records {
 			if col >= len(rec) {
@@ -91,11 +90,23 @@ func inferSchema(header []string, records [][]string) *Schema {
 			}
 			seen = true
 			if _, err := strconv.ParseFloat(rec[col], 64); err != nil {
-				kind = Categorical
+				categorical[col] = true
 				break
 			}
 		}
 		if !seen {
+			categorical[col] = true
+		}
+	}
+	return schemaOf(header, categorical)
+}
+
+// schemaOf builds a schema from header names and per-column kinds.
+func schemaOf(header []string, categorical []bool) *Schema {
+	s := &Schema{byName: make(map[string]int, len(header))}
+	for col, name := range header {
+		kind := Quantitative
+		if categorical[col] {
 			kind = Categorical
 		}
 		// Header names may repeat in malformed files; disambiguate.

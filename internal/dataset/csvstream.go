@@ -1,13 +1,11 @@
 package dataset
 
 import (
-	"bufio"
 	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 )
 
 // CSVStream is a tuple source that reads a CSV file from disk on every
@@ -20,14 +18,17 @@ import (
 // inferred by InferCSVSchema from a bounded prefix of the file — because
 // a streaming pass cannot look ahead. Categorical labels not seen during
 // inference are registered on the fly.
+//
+// Rows are decoded by the same row decoder LoadCSV runs over each of its
+// byte ranges, so a stream and a table load of one file agree on every
+// tuple, label code and row error.
 type CSVStream struct {
 	path   string
 	schema *Schema
 
 	file *os.File
-	cr   *csv.Reader
+	dec  rowDecoder
 	buf  Tuple
-	row  int
 }
 
 // OpenCSVStream opens path for streaming with the given schema. The
@@ -45,7 +46,11 @@ func OpenCSVStream(path string, schema *Schema) (*CSVStream, error) {
 
 // InferCSVSchema reads up to sampleRows data rows from the file and
 // infers a schema the same way ReadCSV does (numeric columns become
-// quantitative). Pass the result to OpenCSVStream.
+// quantitative). It then registers the categorical labels of those rows
+// in first-appearance order, so a schema handed to a streaming pass
+// already knows every label of the prefix. Rows that fail to decode —
+// malformed CSV syntax or a wrong field count — are skipped and do not
+// count toward sampleRows. Pass the result to OpenCSVStream or LoadCSV.
 func InferCSVSchema(path string, sampleRows int) (*Schema, error) {
 	if sampleRows <= 0 {
 		sampleRows = 1000
@@ -55,32 +60,89 @@ func InferCSVSchema(path string, sampleRows int) (*Schema, error) {
 		return nil, err
 	}
 	defer f.Close()
-	cr := csv.NewReader(bufio.NewReaderSize(f, 1<<20))
-	cr.ReuseRecord = true
-	header, err := cr.Read()
+	fi, err := f.Stat()
 	if err != nil {
-		return nil, fmt.Errorf("dataset: reading CSV header: %w", err)
+		return nil, err
 	}
-	headerCopy := append([]string(nil), header...)
-	var records [][]string
-	for len(records) < sampleRows {
-		rec, err := cr.Read()
+	var sc csvScanner
+	sc.reset(f, 0, fi.Size(), true)
+	header, err := readHeader(&sc)
+	if err != nil {
+		return nil, err
+	}
+	names := make([]string, len(header))
+	for i, h := range header {
+		names[i] = string(h)
+	}
+	bodyStart := sc.offset()
+
+	// First pass: a column is categorical as soon as one of its cells
+	// does not parse as a float, or when no row was kept at all.
+	categorical := make([]bool, len(names))
+	kept, err := scanPrefix(&sc, len(names), sampleRows, func(fields [][]byte) {
+		for col, f := range fields {
+			if !categorical[col] {
+				if _, err := parseFloat(f); err != nil {
+					categorical[col] = true
+				}
+			}
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	if kept == 0 {
+		for col := range categorical {
+			categorical[col] = true
+		}
+	}
+	schema := schemaOf(names, categorical)
+	if kept == 0 || len(schema.CategoricalNames()) == 0 {
+		return schema, nil
+	}
+
+	// Second pass over the same rows: register their labels in order.
+	sc.reset(f, bodyStart, sc.offset(), true)
+	_, err = scanPrefix(&sc, len(names), kept, func(fields [][]byte) {
+		for col, f := range fields {
+			if categorical[col] {
+				schema.attrs[col].codeBytes(f)
+			}
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return schema, nil
+}
+
+// scanPrefix calls fn for up to limit records that have width fields
+// and no CSV syntax error, skipping the others, and reports how many it
+// kept.
+func scanPrefix(sc *csvScanner, width, limit int, fn func([][]byte)) (int, error) {
+	kept := 0
+	for kept < limit {
+		fields, _, err := sc.scanFields()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			// Malformed rows don't invalidate inference — the streaming
-			// pass reports them per-row (see Next); skip them here so one
-			// dirty row cannot block opening the file.
+			// Malformed rows don't invalidate inference — the decoding
+			// pass reports them per row; skip them here so one dirty row
+			// cannot block opening the file.
 			var pe *csv.ParseError
 			if errors.As(err, &pe) {
 				continue
 			}
-			return nil, err
+			return kept, err
 		}
-		records = append(records, append([]string(nil), rec...))
+		if len(fields) != width {
+			continue
+		}
+		kept++
+		fn(fields)
 	}
-	return inferSchema(headerCopy, records), nil
+	return kept, nil
 }
 
 // Schema implements Source.
@@ -94,7 +156,6 @@ func (s *CSVStream) Reset() error {
 	if s.file != nil {
 		err := s.file.Close()
 		s.file = nil
-		s.cr = nil
 		if err != nil {
 			return fmt.Errorf("dataset: closing %s before reset: %w", s.path, err)
 		}
@@ -103,26 +164,25 @@ func (s *CSVStream) Reset() error {
 	if err != nil {
 		return err
 	}
-	cr := csv.NewReader(bufio.NewReaderSize(f, 1<<20))
-	cr.ReuseRecord = true
-	header, err := cr.Read()
+	fi, err := f.Stat()
 	if err != nil {
 		f.Close()
-		return fmt.Errorf("dataset: reading CSV header: %w", err)
+		return err
 	}
-	if len(header) != s.schema.Len() {
+	s.dec.sc.reset(f, 0, fi.Size(), true)
+	header, err := readHeader(&s.dec.sc)
+	if err == nil {
+		err = checkHeader(s.schema, header)
+	}
+	if err != nil {
 		f.Close()
-		return fmt.Errorf("dataset: CSV has %d columns, schema has %d attributes", len(header), s.schema.Len())
+		return err
 	}
-	for i, name := range header {
-		if s.schema.At(i).Name != name {
-			f.Close()
-			return fmt.Errorf("dataset: CSV column %d is %q, schema expects %q", i, name, s.schema.At(i).Name)
-		}
-	}
+	s.dec.path = s.path
+	s.dec.attrs = s.schema.attrs
+	s.dec.rowBase = 1
+	s.dec.records = 0
 	s.file = f
-	s.cr = cr
-	s.row = 1
 	return nil
 }
 
@@ -133,54 +193,19 @@ func (s *CSVStream) Reset() error {
 // file:line position; the stream stays positioned so the following Next
 // yields the next row. I/O errors propagate unwrapped and are fatal.
 func (s *CSVStream) Next() (Tuple, error) {
-	if s.cr == nil {
+	if s.file == nil {
 		return nil, io.EOF
 	}
-	rec, err := s.cr.Read()
-	if err == io.EOF {
+	err := s.dec.next(s.buf)
+	switch {
+	case err == nil:
+		return s.buf, nil
+	case err == io.EOF:
 		return nil, io.EOF
+	case AsRowError(err) != nil:
+		return nil, err
 	}
-	if err != nil {
-		s.row++
-		var pe *csv.ParseError
-		if errors.As(err, &pe) {
-			// csv.Reader keeps its position after a parse error, so the
-			// row is skippable. Its error already carries "line N" —
-			// prefer its line accounting (it counts physical lines,
-			// which diverge from records on embedded newlines).
-			reason := "malformed"
-			if errors.Is(err, csv.ErrFieldCount) {
-				reason = "field-count"
-			}
-			return nil, &RowError{Path: s.path, Row: pe.Line, Reason: reason, Err: err}
-		}
-		return nil, fmt.Errorf("dataset: %s:%d: %w", s.path, s.row, err)
-	}
-	s.row++
-	if len(rec) != s.schema.Len() {
-		return nil, &RowError{Path: s.path, Row: s.row, Reason: "field-count",
-			Err: fmt.Errorf("has %d fields, want %d", len(rec), s.schema.Len())}
-	}
-	for i, field := range rec {
-		a := s.schema.At(i)
-		switch a.Kind {
-		case Quantitative:
-			v, err := strconv.ParseFloat(field, 64)
-			if err != nil {
-				return nil, &RowError{Path: s.path, Row: s.row, Reason: "parse",
-					Err: fmt.Errorf("attribute %q: %w", a.Name, err)}
-			}
-			s.buf[i] = v
-		case Categorical:
-			code, err := a.CategoryCode(field)
-			if err != nil {
-				return nil, &RowError{Path: s.path, Row: s.row, Reason: "category",
-					Err: fmt.Errorf("attribute %q: %w", a.Name, err)}
-			}
-			s.buf[i] = float64(code)
-		}
-	}
-	return s.buf, nil
+	return nil, fmt.Errorf("dataset: %s:%d: %w", s.path, s.dec.rowBase+s.dec.records+1, err)
 }
 
 // Close releases the underlying file. The stream is unusable afterwards
@@ -191,6 +216,5 @@ func (s *CSVStream) Close() error {
 	}
 	err := s.file.Close()
 	s.file = nil
-	s.cr = nil
 	return err
 }

@@ -93,6 +93,16 @@ func (a *Attribute) CategoryCode(label string) (int, error) {
 	return code, nil
 }
 
+// codeBytes is CategoryCode for a categorical attribute and a label held
+// in bytes; looking up a known label does not allocate.
+func (a *Attribute) codeBytes(label []byte) int {
+	if code, ok := a.catIndex[string(label)]; ok {
+		return code
+	}
+	code, _ := a.CategoryCode(string(label))
+	return code
+}
+
 // LookupCategory returns the code for a label without registering new
 // labels. The second result reports whether the label is known.
 func (a *Attribute) LookupCategory(label string) (int, bool) {

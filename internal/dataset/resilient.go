@@ -85,14 +85,19 @@ func (s ResilientStats) Total() int64 {
 //
 // Like the sources it wraps, a Resilient is not safe for concurrent use.
 type Resilient struct {
+	ledger
 	src   Source
 	retry Retry
-	q     Quarantine
 	rng   *rand.Rand
 
 	quantIdx []int // schema positions of quantitative attributes
 	rowsSeen int   // per-pass row counter for non-RowError positions
+}
 
+// ledger is the quarantine accounting shared by Resilient and LoadCSV:
+// per-pass budget, cumulative stats, metrics and the OnBad hook.
+type ledger struct {
+	q       Quarantine
 	passBad int // per-pass quarantined rows, reset on Reset
 	stats   ResilientStats
 
@@ -103,28 +108,36 @@ type Resilient struct {
 	quarReasonC map[string]*obs.Counter
 }
 
+func newLedger(q Quarantine) ledger {
+	return ledger{q: q, stats: ResilientStats{Quarantined: map[string]int64{}}}
+}
+
 // NewResilient wraps src with the given retry and quarantine policies.
 func NewResilient(src Source, retry Retry, q Quarantine) *Resilient {
-	r := &Resilient{
-		src:   src,
-		retry: retry.withDefaults(),
-		q:     q,
-		rng:   rand.New(rand.NewSource(retry.Seed)),
-		stats: ResilientStats{Quarantined: map[string]int64{}},
+	return &Resilient{
+		ledger:   newLedger(q),
+		src:      src,
+		retry:    retry.withDefaults(),
+		rng:      rand.New(rand.NewSource(retry.Seed)),
+		quantIdx: quantIndexes(src.Schema()),
 	}
-	schema := src.Schema()
+}
+
+// quantIndexes lists the schema positions of quantitative attributes.
+func quantIndexes(schema *Schema) []int {
+	var idx []int
 	for i := 0; i < schema.Len(); i++ {
 		if schema.At(i).Kind == Quantitative {
-			r.quantIdx = append(r.quantIdx, i)
+			idx = append(idx, i)
 		}
 	}
-	return r
+	return idx
 }
 
 // Observe mirrors the retry/quarantine counters into a metrics registry:
 // source_retries_total, rows_quarantined_total and per-reason
 // rows_quarantined_<reason> counters. Call before streaming.
-func (r *Resilient) Observe(reg *obs.Registry) {
+func (r *ledger) Observe(reg *obs.Registry) {
 	r.reg = reg
 	r.retriesC = reg.Counter("source_retries_total")
 	r.quarTotalC = reg.Counter("rows_quarantined_total")
@@ -132,7 +145,7 @@ func (r *Resilient) Observe(reg *obs.Registry) {
 }
 
 // Stats reports the cumulative interventions so far.
-func (r *Resilient) Stats() ResilientStats {
+func (r *ledger) Stats() ResilientStats {
 	out := ResilientStats{Retries: r.stats.Retries,
 		Quarantined: make(map[string]int64, len(r.stats.Quarantined))}
 	for k, v := range r.stats.Quarantined {
@@ -166,8 +179,8 @@ func (r *Resilient) Next() (Tuple, error) {
 		t, err := r.src.Next()
 		if err == nil {
 			r.rowsSeen++
-			if bad, reason := r.nonFinite(t); bad {
-				if qerr := r.quarantine(reason, r.rowsSeen,
+			if nonFinite(t, r.quantIdx) {
+				if qerr := r.quarantine("non-finite", r.rowsSeen,
 					fmt.Errorf("non-finite value in row %d", r.rowsSeen)); qerr != nil {
 					return nil, qerr
 				}
@@ -212,19 +225,20 @@ func (r *Resilient) backoff(attempt int) time.Duration {
 	return half + time.Duration(r.rng.Int63n(int64(half)+1))
 }
 
-// nonFinite scans the tuple's quantitative attributes for NaN/±Inf.
-func (r *Resilient) nonFinite(t Tuple) (bool, string) {
-	for _, i := range r.quantIdx {
+// nonFinite reports whether any of the tuple's quantitative attributes
+// (at positions quantIdx) is NaN or ±Inf.
+func nonFinite(t Tuple, quantIdx []int) bool {
+	for _, i := range quantIdx {
 		if v := t[i]; math.IsNaN(v) || math.IsInf(v, 0) {
-			return true, "non-finite"
+			return true
 		}
 	}
-	return false, ""
+	return false
 }
 
 // quarantine accounts one skipped row; the returned error is non-nil
 // once the per-pass budget is exhausted.
-func (r *Resilient) quarantine(reason string, row int, cause error) error {
+func (r *ledger) quarantine(reason string, row int, cause error) error {
 	if reason == "" {
 		reason = "row-error"
 	}

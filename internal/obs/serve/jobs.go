@@ -88,7 +88,8 @@ type CSVSpec struct {
 	Stream bool `json:"stream,omitempty"`
 	// MaxBadRows is the quarantine budget (-1 unlimited, 0 strict).
 	MaxBadRows int `json:"max_bad_rows,omitempty"`
-	// Retries is the per-read retry budget for transient errors.
+	// Retries is the per-read retry budget for transient errors of a
+	// streamed file.
 	Retries int `json:"retries,omitempty"`
 }
 
@@ -332,9 +333,10 @@ func (r *Run) Cancel() { r.cancel() }
 func (r *Run) Done() <-chan struct{} { return r.done }
 
 // buildSource constructs the run's tuple source. The returned cleanup
-// (possibly nil) runs after the mining completes. reg receives the
-// resilient layer's quarantine/retry counters for CSV sources.
-func (r *Run) buildSource(spec JobSpec, reg *obs.Registry) (dataset.Source, func(), error) {
+// (possibly nil) runs after the mining completes. The observer receives
+// the quarantine/retry counters of CSV sources and, for a CSV loaded
+// into memory, a load span.
+func (r *Run) buildSource(ctx context.Context, spec JobSpec, observer *obs.Observer) (dataset.Source, func(), error) {
 	if spec.Synth != nil {
 		scfg := synth.Config{
 			Function:        spec.Synth.Function,
@@ -358,6 +360,30 @@ func (r *Run) buildSource(spec JobSpec, reg *obs.Registry) (dataset.Source, func
 		return gen, nil, nil
 	}
 
+	quarantine := dataset.Quarantine{MaxBadRows: spec.CSV.MaxBadRows,
+		OnBad: func(reason string, row int, err error) {
+			slog.Debug("quarantined row", "run", r.ID, "reason", reason, "row", row, "err", err)
+		}}
+	record := func(st dataset.ResilientStats) {
+		r.mu.Lock()
+		r.quar = st
+		r.mu.Unlock()
+	}
+	if !spec.CSV.Stream {
+		span := observer.Root("load", obs.Str("path", spec.CSV.Path))
+		var tb *dataset.Table
+		var rep dataset.LoadReport
+		schema, err := dataset.InferCSVSchema(spec.CSV.Path, 10_000)
+		if err == nil {
+			tb, rep, err = dataset.LoadCSV(ctx, spec.CSV.Path, schema, quarantine, observer.Registry())
+		}
+		span.End(rep.SpanAttrs()...)
+		record(rep.Stats)
+		if err != nil {
+			return nil, nil, err
+		}
+		return tb, nil, nil
+	}
 	schema, err := dataset.InferCSVSchema(spec.CSV.Path, 10_000)
 	if err != nil {
 		return nil, nil, err
@@ -367,29 +393,9 @@ func (r *Run) buildSource(spec JobSpec, reg *obs.Registry) (dataset.Source, func
 		return nil, nil, err
 	}
 	resilient := dataset.NewResilient(cs,
-		dataset.Retry{Max: spec.CSV.Retries, Seed: spec.Seed},
-		dataset.Quarantine{MaxBadRows: spec.CSV.MaxBadRows,
-			OnBad: func(reason string, row int, err error) {
-				slog.Debug("quarantined row", "run", r.ID, "reason", reason, "row", row, "err", err)
-			}})
-	resilient.Observe(reg)
-	record := func() {
-		r.mu.Lock()
-		r.quar = resilient.Stats()
-		r.mu.Unlock()
-	}
-	if spec.CSV.Stream {
-		return resilient, func() { record(); cs.Close() }, nil
-	}
-	tb, err := dataset.Materialize(resilient)
-	record()
-	if cerr := cs.Close(); err == nil && cerr != nil {
-		err = cerr
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return tb, nil, nil
+		dataset.Retry{Max: spec.CSV.Retries, Seed: spec.Seed}, quarantine)
+	resilient.Observe(observer.Registry())
+	return resilient, func() { record(resilient.Stats()); cs.Close() }, nil
 }
 
 // execute drives the run to a terminal state. It runs on its own
@@ -412,7 +418,7 @@ func (s *Server) execute(ctx context.Context, r *Run, observer *obs.Observer) {
 	var results map[string]*core.Result
 	var runErr error
 	pprof.Do(ctx, pprof.Labels("arcs_run", r.ID), func(ctx context.Context) {
-		src, cleanup, err := r.buildSource(spec, observer.Registry())
+		src, cleanup, err := r.buildSource(ctx, spec, observer)
 		if err != nil {
 			runErr = err
 			return

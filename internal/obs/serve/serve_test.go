@@ -4,8 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -465,4 +468,58 @@ func readNDJSONStream(t *testing.T, body *bufio.Scanner) []string {
 		names = append(names, rec.Name)
 	}
 	return names
+}
+
+// TestObsServeCSVLoadSpan: a CSV job loaded into memory records a load
+// span with the loader's report, and its quarantined rows reach the run
+// status.
+func TestObsServeCSVLoadSpan(t *testing.T) {
+	dir := t.TempDir()
+	var b strings.Builder
+	b.WriteString("age,salary,group\n")
+	for i := 0; i < 2000; i++ {
+		group := "other"
+		if i%3 == 0 {
+			group = "A"
+		}
+		fmt.Fprintf(&b, "%d,%d,%s\n", 20+i%60, 20000+(i*37)%130000, group)
+	}
+	b.WriteString("30,40000\n") // one field short: quarantined
+	path := filepath.Join(dir, "in.csv")
+	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Options{CSVRoot: dir})
+	spec, _ := json.Marshal(map[string]any{
+		"csv": map[string]any{"path": path, "max_bad_rows": 1},
+		"x":   "age", "y": "salary", "crit": "group", "value": "A", "bins": 10,
+	})
+	id := submit(t, ts, string(spec))
+	st := waitTerminal(t, s, ts, id)
+	if st.State != StateDone {
+		t.Fatalf("run ended %q (err %q), want done", st.State, st.Error)
+	}
+	if st.RowsQuarantined != 1 {
+		t.Errorf("rows_quarantined = %d, want 1", st.RowsQuarantined)
+	}
+	resp, err := http.Get(ts.URL + "/debug/flightrecord?run=" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	tr, err := obs.ReadTrace(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range tr.Events {
+		if e.Name != "load" {
+			continue
+		}
+		if e.Parent != 0 || e.Attr("rows") != "2000" || e.Attr("rows_quarantined") != "1" ||
+			e.Attr("workers") == "" || e.Attr("mode") == "" || e.Attr("bytes") == "" {
+			t.Errorf("load span: parent %d, attrs %v", e.Parent, e.Attrs)
+		}
+		return
+	}
+	t.Error("flight record lacks the load span")
 }
