@@ -162,12 +162,30 @@ func main() {
 		fatal(err)
 	}
 
+	cfg := core.Config{
+		XAttr: *xAttr, YAttr: *yAttr,
+		CritAttr: *critAttr, CritValue: *critValue,
+		NumBins:            *bins,
+		PruneFraction:      *prune,
+		InterestLift:       *lift,
+		FixedMinSupport:    *minSup,
+		FixedMinConfidence: *minConf,
+		Seed:               *seed,
+		IngestWorkers:      *ingestW,
+		CountsBackend:      *backend,
+		SpillDir:           *spillDir,
+		Walk:               optimizer.ThresholdWalk{},
+		Observer:           observer,
+	}
+
 	// Bad rows (parse failures, wrong field counts, non-finite values)
 	// are quarantined with row numbers within the -max-bad-rows budget.
 	// Without -stream, dataset.LoadCSV decodes the file into memory over
-	// GOMAXPROCS byte ranges; its rows, codes, quarantine account and
-	// errors equal a sequential pass of the stream below, so the policy
-	// applies identically in both modes.
+	// GOMAXPROCS byte ranges, converting only the columns the run reads
+	// (all of them for -describe) and validating the rest; its rows,
+	// codes, quarantine account and errors equal a sequential pass of
+	// the stream below cut to those columns, so the policy applies
+	// identically in both modes.
 	quarantine := dataset.Quarantine{MaxBadRows: *maxBadRows,
 		OnBad: func(reason string, row int, err error) {
 			slog.Debug("quarantined row", "reason", reason, "row", row, "err", err)
@@ -205,15 +223,12 @@ func main() {
 			slog.Warn("-ingest-workers needs an in-memory source; streaming ingest stays sequential")
 		}
 	} else {
-		span := observer.Root("load", obs.Str("path", *in))
-		var tb *dataset.Table
-		var rep dataset.LoadReport
-		schema, err := dataset.InferCSVSchema(*in, 10_000)
-		if err == nil {
-			tb, rep, err = dataset.LoadCSV(ctx, *in, schema, quarantine, observer.Registry())
+		var keep []string
+		if !*describe {
+			keep = cfg.Columns()
 		}
+		tb, rep, err := dataset.LoadCSVObserved(ctx, observer, *in, 10_000, keep, quarantine)
 		stats = func() dataset.ResilientStats { return rep.Stats }
-		span.End(rep.SpanAttrs()...)
 		if err != nil {
 			if wasCanceled(err) {
 				fatalCode(err, exitCanceled)
@@ -236,22 +251,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cfg := core.Config{
-		XAttr: *xAttr, YAttr: *yAttr,
-		CritAttr: *critAttr, CritValue: *critValue,
-		NumBins:            *bins,
-		PruneFraction:      *prune,
-		InterestLift:       *lift,
-		FixedMinSupport:    *minSup,
-		FixedMinConfidence: *minConf,
-		Seed:               *seed,
-		IngestWorkers:      *ingestW,
-		MemBudget:          budget,
-		CountsBackend:      *backend,
-		SpillDir:           *spillDir,
-		Walk:               optimizer.ThresholdWalk{},
-		Observer:           observer,
-	}
+	cfg.MemBudget = budget
 	switch *smoothing {
 	case "binary":
 		cfg.Smoothing = core.SmoothBinary

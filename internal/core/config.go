@@ -257,6 +257,10 @@ type Config struct {
 	ProbeHook func(seg int, minSup, minConf float64)
 }
 
+// Columns lists the attributes a run reads from its source: X, Y and
+// the criterion. A table loaded for the run needs no other column.
+func (c Config) Columns() []string { return []string{c.XAttr, c.YAttr, c.CritAttr} }
+
 // withDefaults fills the zero values with the paper's defaults.
 func (c Config) withDefaults() Config {
 	if c.NumBins == 0 {

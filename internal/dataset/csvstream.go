@@ -77,12 +77,13 @@ func InferCSVSchema(path string, sampleRows int) (*Schema, error) {
 	bodyStart := sc.offset()
 
 	// First pass: a column is categorical as soon as one of its cells
-	// does not parse as a float, or when no row was kept at all.
+	// does not parse as a float, or when no row was kept at all. Cells
+	// are classified without being converted.
 	categorical := make([]bool, len(names))
 	kept, err := scanPrefix(&sc, len(names), sampleRows, func(fields [][]byte) {
 		for col, f := range fields {
 			if !categorical[col] {
-				if _, err := parseFloat(f); err != nil {
+				if !isFloat(f) {
 					categorical[col] = true
 				}
 			}
@@ -179,7 +180,8 @@ func (s *CSVStream) Reset() error {
 		return err
 	}
 	s.dec.path = s.path
-	s.dec.attrs = s.schema.attrs
+	all, _ := keptColumns(s.schema, nil)
+	s.dec.cols = decodeColumns(s.schema.attrs, all, s.schema.attrs)
 	s.dec.rowBase = 1
 	s.dec.records = 0
 	s.file = f

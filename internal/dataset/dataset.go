@@ -236,6 +236,19 @@ func (s *Schema) Clone() *Schema {
 	return c
 }
 
+// project returns the schema of the attributes at positions idx, in
+// that order. It shares them with s: labels registered through either
+// schema show in both.
+func (s *Schema) project(idx []int) *Schema {
+	p := &Schema{byName: make(map[string]int, len(idx))}
+	for _, i := range idx {
+		a := s.attrs[i]
+		p.byName[a.Name] = len(p.attrs)
+		p.attrs = append(p.attrs, a)
+	}
+	return p
+}
+
 // FormatValue renders the encoded value of attribute i in human form:
 // the category label for categoricals, %g for quantitative values.
 func (s *Schema) FormatValue(i int, v float64) string {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 )
 
@@ -287,19 +288,53 @@ func checkHeader(schema *Schema, header [][]byte) error {
 	return nil
 }
 
-// rowDecoder turns scanned records into tuples: every quantitative cell
-// is parsed and every categorical label is coded through the
-// attributes' dictionaries, registering labels on first sight. It is
-// the one row decoder behind CSVStream and LoadCSV; InferCSVSchema
-// reads its prefix with the same scanner and cell parsers.
+// rowDecoder turns scanned records into tuples. Every column of the
+// file is checked; a kept column is converted into its tuple position —
+// a quantitative cell parsed, a categorical label coded through the
+// column's dictionary, registering labels on first sight — and a
+// dropped column is validated without being converted (see
+// column). It is the one row decoder behind CSVStream and LoadCSV;
+// InferCSVSchema reads its prefix with the same scanner and cell
+// validator.
 type rowDecoder struct {
-	sc    csvScanner
-	path  string
-	attrs []*Attribute
+	sc   csvScanner
+	path string
+	cols []column // one per column of the file, in file order
 	// rowBase is added to the record count to number "parse" rows:
 	// 1 when the scanner starts at the header, 0 for a body range.
 	rowBase int
 	records int // records scanned, bad ones included
+	// dropNonFinite is set when a dropped quantitative cell of the
+	// current record parsed to NaN or ±Inf.
+	dropNonFinite bool
+}
+
+// column is how the decoder treats one column of the file.
+type column struct {
+	// attr names the column and, when it is kept and categorical, codes
+	// its labels. A dropped column's attribute is only read.
+	attr *Attribute
+	// dst is the tuple position of a kept column, -1 for a dropped one.
+	// A dropped quantitative cell is accepted after one byte scan when
+	// it is a plain decimal (see scanDecimal) and otherwise parsed and
+	// checked for finiteness like a kept one, so it fails its row
+	// exactly as it would if kept; a dropped categorical cell cannot
+	// fail a row and is skipped.
+	dst int
+}
+
+// decodeColumns lists how the decoder treats the columns of a file
+// whose attributes are attrs: column keep[j] is kept, decoded through
+// kept[j] into tuple position j, and every other column is dropped.
+func decodeColumns(attrs []*Attribute, keep []int, kept []*Attribute) []column {
+	cols := make([]column, len(attrs))
+	for i, a := range attrs {
+		cols[i] = column{attr: a, dst: -1}
+	}
+	for j, i := range keep {
+		cols[i] = column{attr: kept[j], dst: j}
+	}
+	return cols
 }
 
 // next decodes the next record into dst. A row-scoped failure comes
@@ -307,8 +342,10 @@ type rowDecoder struct {
 // "malformed" and "field-count" rows carry the physical line,
 // "parse" rows the record number. Cells are decoded left to right, so
 // a row that fails to parse has registered the labels before the bad
-// cell, exactly as a partially decoded row always has. Other errors
-// (I/O, errQuoted, a poll's error) are returned as they are.
+// cell, exactly as a partially decoded row always has. A record whose
+// cells all parse but a dropped one is NaN or ±Inf returns
+// errNonFinite. Other errors (I/O, errQuoted, a poll's error) are
+// returned as they are.
 func (d *rowDecoder) next(dst Tuple) error {
 	line, fields, lineNo, err := d.sc.scan()
 	if err != nil {
@@ -320,28 +357,39 @@ func (d *rowDecoder) next(dst Tuple) error {
 		return err
 	}
 	d.records++
+	d.dropNonFinite = false
 	n := len(fields)
 	if fields == nil {
 		n = bytes.Count(line, comma) + 1
 	}
-	if n != len(d.attrs) {
+	if n != len(d.cols) {
 		pe := &csv.ParseError{StartLine: lineNo, Line: lineNo, Column: 1, Err: csv.ErrFieldCount}
 		return &RowError{Path: d.path, Row: lineNo, Reason: "field-count", Err: pe}
 	}
 	if fields != nil {
 		for i, f := range fields {
-			if err := d.cell(i, f, dst); err != nil {
+			if err := d.cell(&d.cols[i], f, dst); err != nil {
 				return err
 			}
 		}
-		return nil
+		return d.nonFinite()
 	}
 	// An unquoted line is split as it is decoded; a plain decimal cell
-	// is parsed and skipped over in one step.
-	for i, a := range d.attrs {
-		if a.Kind == Quantitative {
+	// is parsed (or, dropped, validated) and skipped over in one step.
+	for i := range d.cols {
+		c := &d.cols[i]
+		switch {
+		case c.attr.Kind == Categorical && c.dst < 0:
+			line = skipField(line)
+			continue
+		case c.attr.Kind == Quantitative && c.dst >= 0:
 			if v, n, ok := parseDecimal(line); ok {
-				dst[i] = v
+				dst[c.dst] = v
+				line = line[min(n+1, len(line)):]
+				continue
+			}
+		case c.attr.Kind == Quantitative:
+			if n, ok := scanDecimal(line); ok {
 				line = line[min(n+1, len(line)):]
 				continue
 			}
@@ -350,29 +398,109 @@ func (d *rowDecoder) next(dst Tuple) error {
 		if j := bytes.IndexByte(line, ','); j >= 0 {
 			f, line = line[:j], line[j+1:]
 		}
-		if err := d.cell(i, f, dst); err != nil {
+		if err := d.cell(c, f, dst); err != nil {
 			return err
 		}
 	}
-	return nil
+	return d.nonFinite()
 }
 
 var comma = []byte{','}
 
-// cell decodes field f of column i into dst[i].
-func (d *rowDecoder) cell(i int, f []byte, dst Tuple) error {
-	a := d.attrs[i]
-	if a.Kind == Categorical {
-		dst[i] = float64(a.codeBytes(f))
+// skipField returns line past its first field and the comma after it.
+func skipField(line []byte) []byte {
+	if j := bytes.IndexByte(line, ','); j >= 0 {
+		return line[j+1:]
+	}
+	return line[len(line):]
+}
+
+// nonFinite reports a dropped non-finite cell of the record just
+// decoded. It comes after every cell has parsed, so a later parse
+// failure in the same row wins, as it does for a kept column.
+func (d *rowDecoder) nonFinite() error {
+	if d.dropNonFinite {
+		return errNonFinite
+	}
+	return nil
+}
+
+// cell decodes field f of column c into dst.
+func (d *rowDecoder) cell(c *column, f []byte, dst Tuple) error {
+	if c.attr.Kind == Categorical {
+		if c.dst >= 0 {
+			dst[c.dst] = float64(c.attr.codeBytes(f))
+		}
 		return nil
+	}
+	if c.dst < 0 {
+		if n, ok := scanDecimal(f); ok && n == len(f) {
+			return nil
+		}
 	}
 	v, err := parseFloat(f)
 	if err != nil {
 		return &RowError{Path: d.path, Row: d.rowBase + d.records, Reason: "parse",
-			Err: fmt.Errorf("attribute %q: %w", a.Name, err)}
+			Err: fmt.Errorf("attribute %q: %w", c.attr.Name, err)}
 	}
-	dst[i] = v
+	if c.dst >= 0 {
+		dst[c.dst] = v
+	} else if math.IsNaN(v) || math.IsInf(v, 0) {
+		d.dropNonFinite = true
+	}
 	return nil
+}
+
+// errNonFinite marks a decoded row with a NaN or ±Inf quantitative cell.
+var errNonFinite = errors.New("non-finite")
+
+// isFloat reports whether strconv.ParseFloat(string(f), 64) accepts f,
+// converting only the cells a plain decimal scan cannot vouch for.
+func isFloat(f []byte) bool {
+	if n, ok := scanDecimal(f); ok && n == len(f) {
+		return true
+	}
+	_, err := strconv.ParseFloat(string(f), 64)
+	return err == nil
+}
+
+// maxDecimalIntDigits bounds the integer digits scanDecimal accepts:
+// any decimal with at most 308 of them is below 10^308, so it parses to
+// a finite float64 without a range error.
+const maxDecimalIntDigits = 308
+
+// scanDecimal reports the length of a plain decimal at the start of b —
+// an optional sign, digits and at most one '.', with at least one digit
+// and at most maxDecimalIntDigits before the point — ending at a comma
+// or the end of b. strconv.ParseFloat accepts every such decimal and
+// returns a finite value, so a cell that scans needs no conversion to be
+// known good. Anything else — exponents, Inf, NaN, hex, underscores,
+// longer integers, junk — reports !ok and is left to strconv.
+func scanDecimal(b []byte) (n int, ok bool) {
+	i := 0
+	if len(b) > 0 && (b[0] == '-' || b[0] == '+') {
+		i = 1
+	}
+	start := i
+	for i < len(b) && b[i]-'0' < 10 {
+		i++
+	}
+	digits := i - start
+	if digits > maxDecimalIntDigits {
+		return 0, false
+	}
+	if i < len(b) && b[i] == '.' {
+		i++
+		start = i
+		for i < len(b) && b[i]-'0' < 10 {
+			i++
+		}
+		digits += i - start
+	}
+	if digits == 0 || (i < len(b) && b[i] != ',') {
+		return 0, false
+	}
+	return i, true
 }
 
 // parseFloat is strconv.ParseFloat(string(f), 64) with a fast path for

@@ -8,6 +8,8 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -32,6 +34,9 @@ type LoadReport struct {
 	// Mode is "parallel" or "single-range"; Reason says why a load ran
 	// as a single range ("one worker", "quoted", "short body").
 	Mode, Reason string
+	// Columns is the number of columns in the file and Kept the number
+	// the table holds.
+	Columns, Kept int
 	// Stats is the quarantine account of the load.
 	Stats ResilientStats
 }
@@ -47,6 +52,7 @@ func (r LoadReport) SpanAttrs() []obs.Attr {
 		obs.Int("rows", r.Rows),
 		obs.Int("workers", r.Workers),
 		obs.Str("mode", mode),
+		obs.Str("columns", strconv.Itoa(r.Kept)+"/"+strconv.Itoa(r.Columns)),
 		obs.Int("rows_quarantined", int(r.Stats.Total())),
 	}
 }
@@ -58,6 +64,17 @@ func (r LoadReport) SpanAttrs() []obs.Attr {
 // metrics mirrored into reg (when non-nil) and every error text match
 // that sequential path.
 //
+// keep names the columns the table holds; when it is empty, every
+// column is kept. The table's schema then holds the kept attributes of
+// schema, in file order, and shares them with it, so the labels the
+// load registers show in both; its rows equal the sequential path's
+// rows cut to those columns. The other columns are validated but not
+// converted: a plain decimal is accepted after one byte scan, any
+// other quantitative cell is parsed and checked for finiteness as if it
+// were kept, and categorical cells are skipped, as a label cannot fail
+// a row. So a projection never changes which rows are loaded or
+// quarantined, nor the quarantine account, OnBad calls and errors.
+//
 // The file body is cut into runtime.GOMAXPROCS(0) newline-aligned byte
 // ranges decoded concurrently, each read in blocks with ReadAt. The
 // ranges are then merged in file order: category labels get their codes
@@ -66,15 +83,45 @@ func (r LoadReport) SpanAttrs() []obs.Attr {
 // same one the sequential pass stops at. Because a quoted field may span
 // a newline, a file whose body holds a '"' is decoded as one range.
 // Cancellation is polled once per block.
-func LoadCSV(ctx context.Context, path string, schema *Schema, q Quarantine, reg *obs.Registry) (*Table, LoadReport, error) {
-	return loadCSV(ctx, path, schema, q, reg, runtime.GOMAXPROCS(0))
+func LoadCSV(ctx context.Context, path string, schema *Schema, keep []string, q Quarantine, reg *obs.Registry) (*Table, LoadReport, error) {
+	return loadCSV(ctx, path, schema, keep, q, reg, runtime.GOMAXPROCS(0))
 }
 
-func loadCSV(ctx context.Context, path string, schema *Schema, q Quarantine, reg *obs.Registry, workers int) (*Table, LoadReport, error) {
+// LoadCSVObserved is the table-mode load of a mining run: it infers the
+// schema of the CSV at path from its first sampleRows rows, then loads
+// the file with LoadCSV, keeping the columns named in keep. When the
+// file lacks one of them every column is loaded, so the run's own
+// attribute check reports the missing name against the whole header, as
+// it would without a projection. A root "load" span of o covers both
+// steps and carries the LoadReport; its "infer" child times the
+// inference. o may be nil.
+func LoadCSVObserved(ctx context.Context, o *obs.Observer, path string, sampleRows int, keep []string, q Quarantine) (*Table, LoadReport, error) {
+	span := o.Root("load", obs.Str("path", path))
+	var tb *Table
+	var rep LoadReport
+	infer := span.Child("infer")
+	schema, err := InferCSVSchema(path, sampleRows)
+	infer.End()
+	if err == nil {
+		if slices.ContainsFunc(keep, func(name string) bool { return schema.Attr(name) == nil }) {
+			keep = nil
+		}
+		tb, rep, err = LoadCSV(ctx, path, schema, keep, q, o.Registry())
+	}
+	span.End(rep.SpanAttrs()...)
+	return tb, rep, err
+}
+
+func loadCSV(ctx context.Context, path string, schema *Schema, keep []string, q Quarantine, reg *obs.Registry, workers int) (*Table, LoadReport, error) {
 	rep := LoadReport{Workers: 1, Mode: "single-range"}
 	if schema == nil {
 		return nil, rep, fmt.Errorf("dataset: LoadCSV requires a schema; use InferCSVSchema first")
 	}
+	kept, err := keptColumns(schema, keep)
+	if err != nil {
+		return nil, rep, err
+	}
+	rep.Columns, rep.Kept = schema.Len(), len(kept)
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, rep, err
@@ -102,8 +149,12 @@ func loadCSV(ctx context.Context, path string, schema *Schema, q Quarantine, reg
 		led.Observe(reg)
 	}
 
-	l := &loader{path: path, schema: schema, file: f, chk: cancelcheck.New(ctx),
-		maxBad: q.MaxBadRows, quantIdx: quantIndexes(schema)}
+	l := &loader{path: path, full: schema, schema: schema, keep: kept, file: f,
+		chk: cancelcheck.New(ctx), maxBad: q.MaxBadRows}
+	if len(kept) < schema.Len() {
+		l.schema = schema.project(kept)
+	}
+	l.quantIdx = quantIndexes(l.schema)
 	cuts, err := cutRanges(f, body, rep.Bytes, workers)
 	if err != nil {
 		return nil, rep, err
@@ -132,6 +183,30 @@ func loadCSV(ctx context.Context, path string, schema *Schema, q Quarantine, reg
 	}
 	rep.Rows = tb.Len()
 	return tb, rep, nil
+}
+
+// keptColumns resolves the names in keep to their positions in schema,
+// ascending and without repeats; an empty keep keeps every column.
+func keptColumns(schema *Schema, keep []string) ([]int, error) {
+	if len(keep) == 0 {
+		all := make([]int, schema.Len())
+		for i := range all {
+			all[i] = i
+		}
+		return all, nil
+	}
+	idx := make([]int, 0, len(keep))
+	for _, name := range keep {
+		i, err := schema.Index(name)
+		if err != nil {
+			return nil, err
+		}
+		if !slices.Contains(idx, i) {
+			idx = append(idx, i)
+		}
+	}
+	slices.Sort(idx)
+	return idx, nil
 }
 
 // cutRanges splits [body, size) into at most n ranges at line starts and
@@ -180,12 +255,15 @@ func lineStart(f io.ReaderAt, off, size int64, buf []byte) (int64, error) {
 
 // loader runs one LoadCSV call's range workers and merges their output.
 type loader struct {
-	path     string
-	schema   *Schema
-	file     io.ReaderAt
-	chk      *cancelcheck.Checker
-	maxBad   int
-	quantIdx []int
+	path string
+	// full is the file's schema, schema the table's: the attributes of
+	// full at the positions in keep.
+	full, schema *Schema
+	keep         []int
+	file         io.ReaderAt
+	chk          *cancelcheck.Checker
+	maxBad       int
+	quantIdx     []int
 
 	// quoted is set by the first parallel range to meet a '"'; stop is
 	// the lowest index of a range that exhausted the budget on its own.
@@ -202,7 +280,7 @@ type badRow struct {
 
 // rangeLoad is the output of one range worker.
 type rangeLoad struct {
-	attrs   []*Attribute // the worker's private copy of the schema's attributes
+	attrs   []*Attribute // the worker's private copy of the table schema's attributes
 	slabs   [][]float64
 	rows    int // tuples kept
 	records int // records scanned, bad ones included
@@ -236,7 +314,8 @@ func (l *loader) run(cuts []int64) []*rangeLoad {
 }
 
 // decodeRange is one range worker. Labels are coded through a private
-// copy of the schema; merge maps them to the shared dictionaries.
+// copy of the table's schema; merge maps them to the shared
+// dictionaries.
 func (l *loader) decodeRange(idx int, start, end int64, parallel bool, out *rangeLoad) {
 	out.attrs = l.schema.Clone().attrs
 	var known []int // labels per categorical column so far
@@ -258,7 +337,8 @@ func (l *loader) decodeRange(idx int, start, end int64, parallel bool, out *rang
 		}
 		return nil
 	}
-	d.path, d.attrs = l.path, out.attrs
+	d.path = l.path
+	d.cols = decodeColumns(l.full.attrs, l.keep, out.attrs)
 
 	w := len(out.attrs)
 	slabCap := slabRows * w
@@ -278,16 +358,15 @@ func (l *loader) decodeRange(idx int, start, end int64, parallel bool, out *rang
 				out.fresh[k] = append(out.fresh[k], d.records)
 			}
 		}
-		if err == nil {
+		if err == nil || err == errNonFinite {
 			out.decoded++
-			if nonFinite(row, l.quantIdx) {
-				err = errNonFinite
-			} else {
+			if err == nil && !nonFinite(row, l.quantIdx) {
 				slab = slab[:len(slab)+w]
 				out.slabs[len(out.slabs)-1] = slab
 				out.rows++
 				continue
 			}
+			err = errNonFinite
 		}
 		if err == io.EOF {
 			break
@@ -311,9 +390,6 @@ func (l *loader) decodeRange(idx int, start, end int64, parallel bool, out *rang
 	}
 	out.records, out.lines = d.records, d.sc.line
 }
-
-// errNonFinite marks a decoded row with a NaN or ±Inf quantitative cell.
-var errNonFinite = errors.New("non-finite")
 
 // merge replays the ranges in file order: labels are registered in the
 // shared schema, bad rows go through the quarantine ledger with

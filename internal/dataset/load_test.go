@@ -9,13 +9,15 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"arcs/internal/obs"
 )
 
-// loadOutcome is everything a table load can be observed to produce.
+// loadOutcome is everything a table load can be observed to produce,
+// cut to the kept columns.
 type loadOutcome struct {
 	rows     []Tuple
 	dicts    [][]string
@@ -25,41 +27,76 @@ type loadOutcome struct {
 	err      string
 }
 
-func observeLoad(t *testing.T, path string, sample, maxBad int, load func(*Schema, Quarantine, *obs.Registry) (*Table, ResilientStats, error)) (loadOutcome, bool) {
+// loadRun is one observed load: the schema it registered labels in,
+// the table it returned and the rest of its outcome.
+type loadRun struct {
+	schema *Schema
+	table  *Table
+	loadOutcome
+}
+
+// loadFunc loads a file under schema, keeping the columns named in keep
+// when it projects.
+type loadFunc func(schema *Schema, keep []string, q Quarantine, reg *obs.Registry) (*Table, ResilientStats, error)
+
+// observeLoad infers a schema from the first sample rows of path and
+// loads the file, keeping the columns in keep.
+func observeLoad(t *testing.T, path string, sample, maxBad int, keep []string, load loadFunc) loadRun {
 	t.Helper()
 	schema, err := InferCSVSchema(path, sample)
 	if err != nil {
-		return loadOutcome{}, false
+		t.Fatal(err)
 	}
-	var out loadOutcome
+	out := loadRun{schema: schema}
 	q := Quarantine{MaxBadRows: maxBad, OnBad: func(reason string, row int, err error) {
 		out.onBad = append(out.onBad, fmt.Sprintf("%s|%d|%v", reason, row, err))
 	}}
 	reg := obs.NewRegistry()
-	tb, stats, err := load(schema, q, reg)
+	tb, stats, err := load(schema, keep, q, reg)
 	if stats.Quarantined == nil {
 		stats.Quarantined = map[string]int64{}
 	}
-	out.stats = stats
+	out.table, out.stats = tb, stats
 	if err != nil {
 		out.err = err.Error()
 	}
-	if tb != nil {
-		for i := 0; i < tb.Len(); i++ {
-			out.rows = append(out.rows, tb.Row(i))
-		}
-	}
-	for i := 0; i < schema.Len(); i++ {
-		out.dicts = append(out.dicts, schema.At(i).Categories())
-	}
 	out.counters = reg.Snapshot().Counters
-	return out, true
+	return out
+}
+
+// cut is the outcome of the load cut to the columns in keep (every
+// column when keep is empty), in file order.
+func (r loadRun) cut(t *testing.T, keep []string) loadOutcome {
+	t.Helper()
+	out := r.loadOutcome
+	cols, err := keptColumns(r.schema, keep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cols {
+		out.dicts = append(out.dicts, r.schema.At(c).Categories())
+	}
+	if r.table == nil {
+		return out
+	}
+	pos := make([]int, len(cols))
+	for j, c := range cols {
+		pos[j] = r.table.Schema().MustIndex(r.schema.At(c).Name)
+	}
+	for i := 0; i < r.table.Len(); i++ {
+		row := make(Tuple, len(pos))
+		for j, p := range pos {
+			row[j] = r.table.Row(i)[p]
+		}
+		out.rows = append(out.rows, row)
+	}
+	return out
 }
 
 // sequentialLoad is the reference table-mode path: stream, quarantine,
-// materialize.
-func sequentialLoad(path string) func(*Schema, Quarantine, *obs.Registry) (*Table, ResilientStats, error) {
-	return func(schema *Schema, q Quarantine, reg *obs.Registry) (*Table, ResilientStats, error) {
+// materialize. It always decodes every column.
+func sequentialLoad(path string) loadFunc {
+	return func(schema *Schema, _ []string, q Quarantine, reg *obs.Registry) (*Table, ResilientStats, error) {
 		cs, err := OpenCSVStream(path, schema)
 		if err != nil {
 			return nil, ResilientStats{Quarantined: map[string]int64{}}, err
@@ -72,9 +109,9 @@ func sequentialLoad(path string) func(*Schema, Quarantine, *obs.Registry) (*Tabl
 	}
 }
 
-func parallelLoad(path string, workers int) func(*Schema, Quarantine, *obs.Registry) (*Table, ResilientStats, error) {
-	return func(schema *Schema, q Quarantine, reg *obs.Registry) (*Table, ResilientStats, error) {
-		tb, rep, err := loadCSV(context.Background(), path, schema, q, reg, workers)
+func parallelLoad(path string, workers int) loadFunc {
+	return func(schema *Schema, keep []string, q Quarantine, reg *obs.Registry) (*Table, ResilientStats, error) {
+		tb, rep, err := loadCSV(context.Background(), path, schema, keep, q, reg, workers)
 		return tb, rep.Stats, err
 	}
 }
@@ -96,22 +133,52 @@ func sameRows(a, b []Tuple) bool {
 	return true
 }
 
+// projections are the column subsets a differential check loads from a
+// file with the given header: every other column from the first and
+// every other from the second, so each column is both kept and dropped.
+// A one-column header has none; the unprojected loads cover it.
+func projections(header []string) [][]string {
+	if len(header) < 2 {
+		return nil
+	}
+	var out [][]string
+	for first := 0; first < 2; first++ {
+		var keep []string
+		for i := first; i < len(header); i += 2 {
+			keep = append(keep, header[i])
+		}
+		out = append(out, keep)
+	}
+	return out
+}
+
 // checkLoadMatches compares LoadCSV at several worker counts and budgets
-// against the sequential path on one file. The schema is inferred from
-// the usual 10k-row prefix and from a 2-row one: the short prefix leaves
+// against the sequential path on one file, loading every column and
+// each of the file's projections; a projected load must equal the
+// sequential load cut to its columns. The schema is inferred from the
+// usual 10k-row prefix and from a 2-row one: the short prefix leaves
 // most labels for the load to register, and makes more cells fail to
 // parse under the inferred kinds.
 func checkLoadMatches(t *testing.T, path string) {
 	t.Helper()
 	for _, sample := range []int{10_000, 2} {
+		schema, err := InferCSVSchema(path, sample)
+		if err != nil {
+			return
+		}
+		keeps := append([][]string{nil}, projections(schema.Names())...)
 		for _, maxBad := range []int{-1, 0, 3} {
-			want, ok := observeLoad(t, path, sample, maxBad, sequentialLoad(path))
-			if !ok {
-				return
-			}
-			for _, workers := range []int{1, 2, 3, 8} {
-				got, _ := observeLoad(t, path, sample, maxBad, parallelLoad(path, workers))
-				compareLoads(t, fmt.Sprintf("sample=%d workers=%d max-bad-rows=%d", sample, workers, maxBad), got, want)
+			seq := observeLoad(t, path, sample, maxBad, nil, sequentialLoad(path))
+			for _, keep := range keeps {
+				want := seq.cut(t, keep)
+				for _, workers := range []int{1, 2, 3, 8} {
+					where := fmt.Sprintf("sample=%d keep=%q workers=%d max-bad-rows=%d", sample, keep, workers, maxBad)
+					got := observeLoad(t, path, sample, maxBad, keep, parallelLoad(path, workers))
+					if got.table != nil && keep != nil && !slices.Equal(got.table.Schema().Names(), keep) {
+						t.Fatalf("%s: table columns %q", where, got.table.Schema().Names())
+					}
+					compareLoads(t, where, got.cut(t, keep), want)
+				}
 			}
 		}
 	}
@@ -169,6 +236,19 @@ var loadSeeds = []string{
 	"",
 	"a,a\n1,2\n",
 	"x,g\n1,A\n2,B,extra\n3\n4,C\n5,D\n6,x\"y\n7,E\n",
+	// Bad cells only in columns a projection drops (b and d when every
+	// other column from the first is kept), and a field-count error. Under
+	// a 2-row prefix b and d are quantitative; under the 10k prefix b's
+	// junk makes it categorical, while d's cells all parse.
+	"a,b,c,d,g\n1,2,3,4,A\n5,6,7,8,B\n1,abc,3,NaN,C\n1,1_000,3,-Inf,D\n1,1e400,3,0x1p-2,E\n" +
+		"1," + strings.Repeat("9", 400) + ",3,0" + strings.Repeat("0", 398) + "1,F\n1,2,3,4\n1,2,3,4,G\n" +
+		"1," + strings.Repeat("9", 308) + ".5,3,-" + strings.Repeat("9", 309) + ",H\n9,9,9,9,I\n",
+	// A dropped non-finite cell followed by a parse error in the same
+	// row: parse wins. Then non-finite cells without one, kept and
+	// dropped.
+	"a,b,c,d,g\n1,2,3,4,A\n5,6,7,8,B\n1,NaN,3,oops,C\n1,Inf,3,4,D\n1,2,NaN,x,E\n-Inf,2,3,4,F\n9,9,9,9,G\n",
+	// Quoted rows whose quoted cells fall in a dropped column.
+	"a,b,g\n1,2,A\n3,4,B\n5,\"6\",C\n7,\"8,9\",D\n10,\"NaN\",E\n11,\"+.5\",F\n12,13,G\n",
 }
 
 func writeLoadInput(t testing.TB, content string) string {
@@ -243,7 +323,7 @@ func TestLoadCSVReport(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tb, rep, err := loadCSV(context.Background(), c.path, schema, Quarantine{}, nil, c.workers)
+		tb, rep, err := loadCSV(context.Background(), c.path, schema, nil, Quarantine{}, nil, c.workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +343,7 @@ func TestLoadCSVCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := loadCSV(ctx, path, schema, Quarantine{}, nil, 2); err == nil || !strings.Contains(err.Error(), "canceled") {
+	if _, _, err := loadCSV(ctx, path, schema, nil, Quarantine{}, nil, 2); err == nil || !strings.Contains(err.Error(), "canceled") {
 		t.Fatalf("canceled load returned %v", err)
 	}
 }
@@ -307,9 +387,15 @@ func writeSynthCSV(tb testing.TB, n int) string {
 	return writeLoadInput(tb, b.String())
 }
 
+// synthKeep is the projection a run mining (age, salary) by group loads
+// from writeSynthCSV's columns.
+var synthKeep = []string{"age", "salary", "group"}
+
 // TestRowDecoderZeroAllocPerRow guards the decoder's hot path: a clean,
-// unquoted row whose labels are known decodes without allocating. The
-// input fits one block, so no refill happens inside the measured loop.
+// unquoted row whose labels are known decodes without allocating,
+// whether it keeps every column (CSVStream) or only synthKeep and
+// validates the rest. The input fits one block, so no refill happens
+// inside the measured loop.
 func TestRowDecoderZeroAllocPerRow(t *testing.T) {
 	path := writeSynthCSV(t, 2000)
 	schema, err := InferCSVSchema(path, 10_000)
@@ -329,56 +415,162 @@ func TestRowDecoderZeroAllocPerRow(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("CSVStream.Next allocates %.2f objects per clean row, want 0", allocs)
 	}
+
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, err := keptColumns(schema, synthKeep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := rowDecoder{path: path, rowBase: 1, cols: decodeColumns(schema.attrs, kept, schema.project(kept).attrs)}
+	d.sc.reset(f, 0, fi.Size(), true)
+	if _, err := readHeader(&d.sc); err != nil {
+		t.Fatal(err)
+	}
+	dst := make(Tuple, len(kept))
+	allocs = testing.AllocsPerRun(1000, func() {
+		if err := d.next(dst); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("the projected decoder allocates %.2f objects per clean row, want 0", allocs)
+	}
 }
 
-// TestLoadCSVZeroAllocPerRow: a whole load allocates per slab, block and
-// label, never per row — a load 16× larger allocates only a slab's worth
-// of objects more.
+// TestLoadCSVZeroAllocPerRow: a whole load, projected or not, allocates
+// per slab, block and label, never per row — a load 16× larger
+// allocates only a slab's worth of objects more.
 func TestLoadCSVZeroAllocPerRow(t *testing.T) {
 	small, big := writeSynthCSV(t, 500), writeSynthCSV(t, 8000)
-	for _, workers := range []int{1, 2} {
-		load := func(path string) func() {
-			schema, err := InferCSVSchema(path, 10_000)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return func() {
-				if _, _, err := loadCSV(context.Background(), path, schema, Quarantine{}, nil, workers); err != nil {
+	for _, keep := range [][]string{nil, synthKeep} {
+		for _, workers := range []int{1, 2} {
+			load := func(path string) func() {
+				schema, err := InferCSVSchema(path, 10_000)
+				if err != nil {
 					t.Fatal(err)
 				}
+				return func() {
+					if _, _, err := loadCSV(context.Background(), path, schema, keep, Quarantine{}, nil, workers); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
+			smallAllocs := testing.AllocsPerRun(5, load(small))
+			bigAllocs := testing.AllocsPerRun(5, load(big))
+			if bigAllocs > smallAllocs+8 {
+				t.Errorf("keep=%q workers=%d: loading 8000 rows allocates %.0f objects vs %.0f for 500 — the decoder allocates per row",
+					keep, workers, bigAllocs, smallAllocs)
+			}
+			t.Logf("keep=%q workers=%d: %.0f allocations for 500 rows, %.0f for 8000", keep, workers, smallAllocs, bigAllocs)
 		}
-		smallAllocs := testing.AllocsPerRun(5, load(small))
-		bigAllocs := testing.AllocsPerRun(5, load(big))
-		if bigAllocs > smallAllocs+8 {
-			t.Errorf("workers=%d: loading 8000 rows allocates %.0f objects vs %.0f for 500 — the decoder allocates per row",
-				workers, bigAllocs, smallAllocs)
+	}
+}
+
+// TestLoadCSVProjection: a projected load holds the kept columns in file
+// order under a schema that shares their attributes, reports kept and
+// total columns, ignores repeated names and rejects unknown ones.
+func TestLoadCSVProjection(t *testing.T) {
+	path := writeSynthCSV(t, 300)
+	schema, err := InferCSVSchema(path, 10_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, rep, err := LoadCSV(context.Background(), path, schema, []string{"group", "age", "salary", "age"}, Quarantine{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tb.Schema().Names(); !slices.Equal(got, []string{"salary", "age", "group"}) {
+		t.Errorf("projected columns %q, want [salary age group] (file order)", got)
+	}
+	if tb.Schema().Attr("group") != schema.Attr("group") {
+		t.Error("the projected schema does not share the group attribute")
+	}
+	if rep.Columns != 10 || rep.Kept != 3 || rep.Rows != 300 || tb.Len() != 300 || len(tb.Row(0)) != 3 {
+		t.Errorf("report %+v, %d rows of width %d", rep, tb.Len(), len(tb.Row(0)))
+	}
+	var columns string
+	for _, a := range rep.SpanAttrs() {
+		if a.Key == "columns" {
+			columns = a.Value
 		}
-		t.Logf("workers=%d: %.0f allocations for 500 rows, %.0f for 8000", workers, smallAllocs, bigAllocs)
+	}
+	if columns != "3/10" {
+		t.Errorf("span columns = %q, want 3/10", columns)
+	}
+	if _, _, err := LoadCSV(context.Background(), path, schema, []string{"age", "nope"}, Quarantine{}, nil); err == nil ||
+		!strings.Contains(err.Error(), `no attribute "nope"`) {
+		t.Errorf("unknown column: err %v", err)
+	}
+	tb, rep, err = LoadCSV(context.Background(), path, schema, nil, Quarantine{}, nil)
+	if err != nil || tb.Schema() != schema || rep.Kept != 10 || rep.Columns != 10 {
+		t.Errorf("unprojected load: schema shared %v, report %+v, err %v", tb.Schema() == schema, rep, err)
+	}
+}
+
+// TestLoadCSVObserved: the run-level load infers under an "infer" child
+// of the "load" span, projects when every kept name exists, and loads
+// every column when one is missing.
+func TestLoadCSVObserved(t *testing.T) {
+	path := writeSynthCSV(t, 300)
+	sink := &obs.MemSink{}
+	o := obs.New(sink)
+	tb, rep, err := LoadCSVObserved(context.Background(), o, path, 10_000, synthKeep, Quarantine{})
+	if err != nil || tb.Schema().Len() != 3 || rep.Kept != 3 {
+		t.Fatalf("projected: %d columns, report %+v, err %v", tb.Schema().Len(), rep, err)
+	}
+	var load, infer obs.Event
+	for _, e := range sink.Events() {
+		switch e.Name {
+		case "load":
+			load = e
+		case "infer":
+			infer = e
+		}
+	}
+	if load.ID == 0 || infer.Parent != load.ID || load.Attr("columns") != "3/10" {
+		t.Errorf("load span %+v, infer span %+v", load, infer)
+	}
+	tb, rep, err = LoadCSVObserved(context.Background(), nil, path, 10_000, []string{"age", "nope", "group"}, Quarantine{})
+	if err != nil || tb.Schema().Len() != 10 || rep.Kept != 10 {
+		t.Errorf("missing column: %d columns, report %+v, err %v", tb.Schema().Len(), rep, err)
 	}
 }
 
 // BenchmarkLoadCSV loads a 100k-row, 10-column CSV at one worker and at
-// GOMAXPROCS workers.
+// GOMAXPROCS workers, keeping every column and keeping synthKeep.
 func BenchmarkLoadCSV(b *testing.B) {
 	path := writeSynthCSV(b, 100_000)
 	fi, err := os.Stat(path)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			schema, err := InferCSVSchema(path, 10_000)
-			if err != nil {
-				b.Fatal(err)
+	for _, keep := range [][]string{nil, synthKeep} {
+		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+			name := fmt.Sprintf("workers=%d", workers)
+			if keep != nil {
+				name += "/projected"
 			}
-			b.SetBytes(fi.Size())
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := loadCSV(context.Background(), path, schema, Quarantine{}, nil, workers); err != nil {
+			b.Run(name, func(b *testing.B) {
+				schema, err := InferCSVSchema(path, 10_000)
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
+				b.SetBytes(fi.Size())
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := loadCSV(context.Background(), path, schema, keep, Quarantine{}, nil, workers); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

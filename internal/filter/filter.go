@@ -25,6 +25,11 @@ import (
 // at least threshold. A threshold of 0.5 both fills single-cell holes in
 // dense regions and erases isolated cells; thresholds <= 0 or > 1 are
 // rejected. The input is not modified.
+//
+// The filter works on packed row words, 64 cells at a time: the
+// neighborhood counts are bit-sliced sums of the three rows' words and
+// their one-column shifts, compared against the fewest set cells a
+// neighborhood of each in-bounds size needs.
 func LowPass(bm *grid.Bitmap, threshold float64) (*grid.Bitmap, error) {
 	if threshold <= 0 || threshold > 1 {
 		return nil, fmt.Errorf("filter: threshold %g outside (0, 1]", threshold)
@@ -34,27 +39,93 @@ func LowPass(bm *grid.Bitmap, threshold float64) (*grid.Bitmap, error) {
 	if err != nil {
 		return nil, err
 	}
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			set, total := 0, 0
-			for dr := -1; dr <= 1; dr++ {
-				for dc := -1; dc <= 1; dc++ {
-					rr, cc := r+dr, c+dc
-					if rr < 0 || rr >= rows || cc < 0 || cc >= cols {
-						continue
-					}
-					total++
-					if bm.Get(rr, cc) {
-						set++
-					}
-				}
-			}
-			if float64(set) >= threshold*float64(total) {
-				out.Set(r, c)
-			}
+	// need[t] is the fewest set cells for which a neighborhood of t
+	// in-bounds cells passes float64(set) >= threshold*float64(t),
+	// evaluated exactly so; t+1 when none does.
+	var need [10]int
+	for t := 1; t < len(need); t++ {
+		k := 0
+		for k <= t && float64(k) < threshold*float64(t) {
+			k++
 		}
+		need[t] = k
+	}
+	wpr := bm.WordsPerRow()
+	lastBit := uint64(1) << uint((cols-1)%64)
+	buf := make([]uint64, 4*wpr)
+	// v0 and v1 are the bit-sliced per-column sums (0..3) of rows r-1,
+	// r and r+1; zero stands in for the rows past the edges. A bitmap's
+	// bits past its last column are clear, so the last column's right
+	// neighbor counts as clear; SetRow drops the ones res sets there.
+	v0, v1, res, zero := buf[:wpr], buf[wpr:2*wpr], buf[2*wpr:3*wpr], buf[3*wpr:]
+	for r := 0; r < rows; r++ {
+		above, mid, below := zero, bm.Row(r), zero
+		rowsIn := 1
+		if r > 0 {
+			above = bm.Row(r - 1)
+			rowsIn++
+		}
+		if r < rows-1 {
+			below = bm.Row(r + 1)
+			rowsIn++
+		}
+		for w := range v0 {
+			a, b, c := above[w], mid[w], below[w]
+			v0[w] = a ^ b ^ c
+			v1[w] = a&b | c&(a^b)
+		}
+		// The first and last columns have at most two in-bounds columns
+		// around them, the others three.
+		kMid, kEdge := need[rowsIn*min(cols, 3)], need[rowsIn*min(cols, 2)]
+		for w := range res {
+			// The left neighbor of a column is the plane shifted up one
+			// bit, the right one shifted down, carrying across words.
+			l0, l1 := v0[w]<<1, v1[w]<<1
+			if w > 0 {
+				l0 |= v0[w-1] >> 63
+				l1 |= v1[w-1] >> 63
+			}
+			r0, r1 := v0[w]>>1, v1[w]>>1
+			if w < wpr-1 {
+				r0 |= v0[w+1] << 63
+				r1 |= v1[w+1] << 63
+			}
+			// left + mid, three bits (s0, s1, s2); then + right, four
+			// bits: the count 0..9.
+			m0, m1 := v0[w], v1[w]
+			s0, c := l0^m0, l0&m0
+			s1, s2 := l1^m1^c, l1&m1|c&(l1^m1)
+			var n [4]uint64
+			n[0], c = s0^r0, s0&r0
+			n[1], c = s1^r1^c, s1&r1|c&(s1^r1)
+			n[2], n[3] = s2^c, s2&c
+			ge := atLeast(n, kMid)
+			if w == 0 {
+				ge = ge&^1 | atLeast(n, kEdge)&1
+			}
+			if w == wpr-1 {
+				ge = ge&^lastBit | atLeast(n, kEdge)&lastBit
+			}
+			res[w] = ge
+		}
+		out.SetRow(r, res)
 	}
 	return out, nil
+}
+
+// atLeast returns the bits whose bit-sliced count (n[i] holds bit i of
+// every lane's count) is at least k, for 0 <= k < 16.
+func atLeast(n [4]uint64, k int) uint64 {
+	gt, eq := uint64(0), ^uint64(0)
+	for i := len(n) - 1; i >= 0; i-- {
+		if k>>uint(i)&1 == 1 {
+			eq &= n[i]
+		} else {
+			gt |= eq & n[i]
+			eq &^= n[i]
+		}
+	}
+	return gt | eq
 }
 
 // Kernel is a square convolution kernel of odd size.

@@ -1,7 +1,9 @@
 package filter
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"arcs/internal/grid"
@@ -21,6 +23,96 @@ func mk(t *testing.T, rows ...string) *grid.Bitmap {
 		}
 	}
 	return bm
+}
+
+// lowPassRef is the cell-at-a-time 3×3 filter LowPass must equal: the
+// mean of the in-bounds neighborhood against threshold, nine Gets per
+// cell.
+func lowPassRef(bm *grid.Bitmap, threshold float64) *grid.Bitmap {
+	rows, cols := bm.Rows(), bm.Cols()
+	out, _ := grid.New(rows, cols)
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			set, total := 0, 0
+			for dr := -1; dr <= 1; dr++ {
+				for dc := -1; dc <= 1; dc++ {
+					rr, cc := r+dr, c+dc
+					if rr < 0 || rr >= rows || cc < 0 || cc >= cols {
+						continue
+					}
+					total++
+					if bm.Get(rr, cc) {
+						set++
+					}
+				}
+			}
+			if float64(set) >= threshold*float64(total) {
+				out.Set(r, c)
+			}
+		}
+	}
+	return out
+}
+
+func randomBitmap(rng *rand.Rand, rows, cols int, density float64) *grid.Bitmap {
+	bm, _ := grid.New(rows, cols)
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			if rng.Float64() < density {
+				bm.Set(r, c)
+			}
+		}
+	}
+	return bm
+}
+
+// TestLowPassMatchesReference: the word-level filter equals the
+// cell-at-a-time one on random bitmaps from 1×1 to 140×140 — word
+// boundaries, edges and corners included — at the thresholds where the
+// exact in-bounds rule matters (1/3 of 3 or 6 cells, 0.5 of 4 or 6) and
+// at random ones.
+func TestLowPassMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	dims := []int{1, 2, 3, 63, 64, 65, 127, 128, 129, 140}
+	n := 300
+	if testing.Short() {
+		n = 100
+	}
+	for i := 0; i < n; i++ {
+		rows, cols := 1+rng.Intn(140), 1+rng.Intn(140)
+		if i < len(dims)*len(dims) {
+			rows, cols = dims[i/len(dims)], dims[i%len(dims)]
+		}
+		bm := randomBitmap(rng, rows, cols, rng.Float64())
+		for _, th := range []float64{0.5, 1.0 / 3, 0.1, 0.9, 1, 1 - rng.Float64()} {
+			got, err := LowPass(bm, th)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := lowPassRef(bm, th)
+			for r := 0; r < rows; r++ {
+				if !grid.MasksEqual(got.Row(r), want.Row(r)) {
+					t.Fatalf("%d×%d at %v:\ninput\n%s\ngot\n%s\nwant\n%s", rows, cols, th, bm, got, want)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkLowPass filters 50×50 and 100×100 grids, the CLI's and the
+// daemon benchmark's bin counts, at the default threshold.
+func BenchmarkLowPass(b *testing.B) {
+	for _, bins := range []int{50, 100} {
+		bm := randomBitmap(rand.New(rand.NewSource(1)), bins, bins, 0.4)
+		b.Run(fmt.Sprintf("bins=%d", bins), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := LowPass(bm, 0.5); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 func TestLowPassFillsHole(t *testing.T) {

@@ -87,6 +87,14 @@ func (b *Bitmap) Row(r int) []uint64 {
 	return b.words[r*b.wpr : (r+1)*b.wpr]
 }
 
+// SetRow overwrites row r with words, which must have length
+// WordsPerRow; bits past the last column are dropped.
+func (b *Bitmap) SetRow(r int, words []uint64) {
+	row := b.words[r*b.wpr : (r+1)*b.wpr]
+	copy(row, words)
+	row[b.wpr-1] &= ^uint64(0) >> uint(b.wpr*wordBits-b.cols)
+}
+
 // CopyRow copies row r into dst, which must have length WordsPerRow.
 func (b *Bitmap) CopyRow(dst []uint64, r int) {
 	copy(dst, b.Row(r))

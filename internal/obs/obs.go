@@ -32,6 +32,11 @@
 //	  mine-final          re-mine at the winning thresholds
 //	  verify-final        full-sample error counts
 //
+// and by the table-mode CSV load (dataset.LoadCSVObserved), before init:
+//
+//	load                  infer + decode of the kept columns
+//	  infer               schema inference over the file's prefix
+//
 // Every span's duration is also recorded in the registry as a
 // `phase_<name>_seconds` histogram, so per-phase latency distributions
 // survive even when no sink is attached.

@@ -335,8 +335,8 @@ func (r *Run) Done() <-chan struct{} { return r.done }
 // buildSource constructs the run's tuple source. The returned cleanup
 // (possibly nil) runs after the mining completes. The observer receives
 // the quarantine/retry counters of CSV sources and, for a CSV loaded
-// into memory, a load span.
-func (r *Run) buildSource(ctx context.Context, spec JobSpec, observer *obs.Observer) (dataset.Source, func(), error) {
+// into memory, a load span; such a load keeps only the columns in keep.
+func (r *Run) buildSource(ctx context.Context, spec JobSpec, keep []string, observer *obs.Observer) (dataset.Source, func(), error) {
 	if spec.Synth != nil {
 		scfg := synth.Config{
 			Function:        spec.Synth.Function,
@@ -370,14 +370,7 @@ func (r *Run) buildSource(ctx context.Context, spec JobSpec, observer *obs.Obser
 		r.mu.Unlock()
 	}
 	if !spec.CSV.Stream {
-		span := observer.Root("load", obs.Str("path", spec.CSV.Path))
-		var tb *dataset.Table
-		var rep dataset.LoadReport
-		schema, err := dataset.InferCSVSchema(spec.CSV.Path, 10_000)
-		if err == nil {
-			tb, rep, err = dataset.LoadCSV(ctx, spec.CSV.Path, schema, quarantine, observer.Registry())
-		}
-		span.End(rep.SpanAttrs()...)
+		tb, rep, err := dataset.LoadCSVObserved(ctx, observer, spec.CSV.Path, 10_000, keep, quarantine)
 		record(rep.Stats)
 		if err != nil {
 			return nil, nil, err
@@ -405,6 +398,9 @@ func (r *Run) buildSource(ctx context.Context, spec JobSpec, observer *obs.Obser
 func (s *Server) execute(ctx context.Context, r *Run, observer *obs.Observer) {
 	defer close(r.done)
 	defer r.fanout.Close()
+	if s.runGate != nil {
+		s.runGate(r)
+	}
 	spec := func() JobSpec {
 		r.mu.Lock()
 		defer r.mu.Unlock()
@@ -418,7 +414,9 @@ func (s *Server) execute(ctx context.Context, r *Run, observer *obs.Observer) {
 	var results map[string]*core.Result
 	var runErr error
 	pprof.Do(ctx, pprof.Labels("arcs_run", r.ID), func(ctx context.Context) {
-		src, cleanup, err := r.buildSource(ctx, spec, observer)
+		cfg := spec.coreConfig(r.ID, observer,
+			countsDefaults{memBudget: s.defMemBudget, backend: s.defBackend, spillDir: s.spillDir})
+		src, cleanup, err := r.buildSource(ctx, spec, cfg.Columns(), observer)
 		if err != nil {
 			runErr = err
 			return
@@ -426,8 +424,7 @@ func (s *Server) execute(ctx context.Context, r *Run, observer *obs.Observer) {
 		if cleanup != nil {
 			defer cleanup()
 		}
-		sys, err := core.NewContext(ctx, src, spec.coreConfig(r.ID, observer,
-			countsDefaults{memBudget: s.defMemBudget, backend: s.defBackend, spillDir: s.spillDir}))
+		sys, err := core.NewContext(ctx, src, cfg)
 		if err != nil {
 			runErr = err
 			return

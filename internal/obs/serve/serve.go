@@ -139,6 +139,12 @@ type Server struct {
 	// /apply request holds its in-flight slot, so overload tests pin a
 	// slot deterministically. Nil in production.
 	applyGate func()
+	// runGate and subscribed are test seams: when non-nil, execute calls
+	// runGate before a run starts and handleSpans calls subscribed once a
+	// live subscriber is attached, so a test can hold a run until its
+	// span stream exists. Nil in production.
+	runGate    func(*Run)
+	subscribed func(*Run)
 }
 
 // New builds a Server over the shared observability plumbing.

@@ -37,6 +37,9 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer run.fanout.Unsubscribe(sub)
+	if s.subscribed != nil {
+		s.subscribed(run)
+	}
 
 	if sse {
 		w.Header().Set("Content-Type", "text/event-stream")

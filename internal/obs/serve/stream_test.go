@@ -60,6 +60,16 @@ func TestObsStreamNDJSONLiveRun(t *testing.T) {
 func TestObsStreamMatchesFlightRecord(t *testing.T) {
 	flight := obs.NewFlightRecorder(65536)
 	s, ts := newTestServer(t, Options{Flight: flight})
+	// The run waits for the subscriber, so a fast run cannot emit
+	// mine-final before the stream exists.
+	attached := make(chan struct{})
+	s.subscribed = func(*Run) { close(attached) }
+	s.runGate = func(*Run) {
+		select {
+		case <-attached:
+		case <-time.After(time.Minute):
+		}
+	}
 	id := submit(t, ts, synthSpec())
 
 	resp, err := http.Get(ts.URL + "/runs/" + id + "/spans")
@@ -83,9 +93,8 @@ func TestObsStreamMatchesFlightRecord(t *testing.T) {
 		}
 		counts[n]++
 	}
-	// The subscriber attached after submission, so it may have missed
-	// the earliest init-phase spans; every streamed record must be in
-	// the flight record, and the late-run spans must match exactly.
+	// Every streamed record must be in the flight record, and the
+	// late-run spans must match exactly.
 	for name, n := range counts {
 		if recorded[name] < n {
 			t.Errorf("streamed %d %q events but flight record holds %d", n, name, recorded[name])
